@@ -203,6 +203,45 @@ func BenchmarkSkewedShardedCell(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterNew measures building a cell, without running it, for
+// the three shapes of the reference workloads: the paper's 5x20
+// <Linearizable, Synchronous> cell, the 48-node 16-shard <Linearizable,
+// Strict> cell under zipfian theta 0.999, and the 5-server open-loop cell.
+// A build costs one key chooser per cluster plus each replica's dense
+// pointer-free key records; allocs/op and B/op catch a build that grows
+// back toward per-client or per-key pointer state.
+func BenchmarkClusterNew(b *testing.B) {
+	linSync := core.Model{C: core.Linearizable, P: core.Synchronous}
+	sharded := params.Default()
+	sharded.Servers = 48 // 16 shards x rf=3
+	sharded.ClientsPerServer = 2
+	sharded.ZipfTheta = 0.999
+	cells := []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"paper-5x20", cluster.Config{Model: linSync, Workload: ycsb.WorkloadA, Params: params.Default(), Seed: 1}},
+		{"sharded-48x16", cluster.Config{
+			Model: core.Model{C: core.Linearizable, P: core.Strict}, Workload: ycsb.WorkloadA,
+			Params: sharded, Shards: 16, Seed: 1,
+		}},
+		{"open-loop-5", cluster.Config{
+			Model: linSync, Workload: ycsb.WorkloadA, Params: params.Default(), Seed: 1,
+			Arrivals: &ycsb.ArrivalSpec{Shape: ycsb.ShapePoisson, RatePerSec: 13.5e6},
+		}},
+	}
+	for _, cell := range cells {
+		b.Run(cell.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cluster.New(cell.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTable1 regenerates the Section 3 motivation experiment
 // (paper: normalized throughput 1 / 1.32 / 4.08).
 func BenchmarkTable1(b *testing.B) {

@@ -3,6 +3,8 @@ package ddp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func quickConfig(m Model) Config {
@@ -166,6 +168,7 @@ func TestVerifyFacade(t *testing.T) {
 }
 
 func TestRegisterModelRunsLikeItsImpl(t *testing.T) {
+	t.Cleanup(core.RegistryCheckpoint())
 	m, err := RegisterModel("test-causal-lazy", Causal, EventualPersistency)
 	if err != nil {
 		t.Fatal(err)
@@ -201,6 +204,7 @@ func TestRegisterModelRunsLikeItsImpl(t *testing.T) {
 }
 
 func TestRegisterModelTransactionalAndScoped(t *testing.T) {
+	t.Cleanup(core.RegistryCheckpoint())
 	// Transactional consistency and Scope persistency exercise the client's
 	// registry-resolved behavior switches (transaction grouping, scope
 	// barriers), not just the protocol layer.

@@ -595,6 +595,10 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
+	// One key chooser serves every client and source: a Zipfian is
+	// immutable once built, and building it costs a zeta sum over the
+	// whole key space.
+	kc := ycsb.NewZipfian(p.Keys, p.ZipfTheta)
 	if cfg.Arrivals != nil {
 		// Open loop: one source per node carrying an even share of the
 		// cluster-wide offered rate, each with its own forked arrival and
@@ -602,7 +606,6 @@ func New(cfg Config) (*Cluster, error) {
 		spec := *cfg.Arrivals
 		spec.RatePerSec /= float64(p.Servers)
 		for n := 0; n < p.Servers; n++ {
-			kc := ycsb.NewZipfian(p.Keys, p.ZipfTheta)
 			gen := ycsb.NewGenerator(cfg.Workload, kc, rng.Fork())
 			arr, err := ycsb.NewArrivals(spec, rng.Fork())
 			if err != nil {
@@ -625,7 +628,6 @@ func New(cfg Config) (*Cluster, error) {
 	id := 0
 	for n := 0; n < p.Servers; n++ {
 		for k := 0; k < p.ClientsPerServer; k++ {
-			kc := ycsb.NewZipfian(p.Keys, p.ZipfTheta)
 			gen := ycsb.NewGenerator(cfg.Workload, kc, rng.Fork())
 			cl := newClient(id, c, c.nodes[n], c.Replicas[n], gen, rng.Fork())
 			if c.ring != nil {

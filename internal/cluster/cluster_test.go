@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -196,5 +198,52 @@ func TestWorkloadMixAffectsCounts(t *testing.T) {
 	if res.ReadHist.Count() <= res.WriteHist.Count() {
 		t.Fatalf("workload-B should be read-dominated: %d reads vs %d writes",
 			res.ReadHist.Count(), res.WriteHist.Count())
+	}
+}
+
+// TestClusterSharesOneKeyChooser pins the one-chooser-per-cluster build:
+// every closed-loop client and every open-loop source draws from the same
+// *ycsb.Zipfian, and its derived constants are bit-equal to a freshly built
+// chooser's, so sharing it cannot move a single key draw.
+func TestClusterSharesOneKeyChooser(t *testing.T) {
+	closed := smallConfig(core.Baseline)
+	open := smallConfig(core.Baseline)
+	open.Arrivals = &ycsb.ArrivalSpec{Shape: ycsb.ShapePoisson, RatePerSec: 1e6}
+	for _, cfg := range []Config{closed, open} {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var choosers []ycsb.KeyChooser
+		for _, cl := range c.Clients {
+			choosers = append(choosers, cl.gen.Chooser())
+		}
+		for _, src := range c.Sources {
+			choosers = append(choosers, src.gen.Chooser(), src.kc)
+		}
+		if len(choosers) == 0 {
+			t.Fatal("cluster built no clients or sources")
+		}
+		shared, ok := choosers[0].(*ycsb.Zipfian)
+		if !ok {
+			t.Fatalf("chooser is %T, want *ycsb.Zipfian", choosers[0])
+		}
+		for i, kc := range choosers {
+			if kc != ycsb.KeyChooser(shared) {
+				t.Fatalf("chooser %d is a different instance from chooser 0", i)
+			}
+		}
+		p := cfg.Params
+		fresh := reflect.ValueOf(ycsb.NewZipfian(p.Keys, p.ZipfTheta)).Elem()
+		got := reflect.ValueOf(shared).Elem()
+		for _, name := range []string{"zetan", "zeta2", "alpha", "eta"} {
+			g, f := got.FieldByName(name), fresh.FieldByName(name)
+			if !g.IsValid() {
+				t.Fatalf("ycsb.Zipfian has no field %q", name)
+			}
+			if math.Float64bits(g.Float()) != math.Float64bits(f.Float()) {
+				t.Fatalf("%s = %v, fresh NewZipfian has %v", name, g.Float(), f.Float())
+			}
+		}
 	}
 }

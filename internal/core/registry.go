@@ -96,6 +96,27 @@ func Register(name string, vis Consistency, dur Persistency) (Model, error) {
 	return b.Model, nil
 }
 
+// RegistryCheckpoint records the custom bindings registered so far and
+// returns a function that rolls the registry back to them, forgetting every
+// binding registered since. It exists for tests: a test that registers a
+// fixed name defers the rollback, so repeated runs (go test -count=N) start
+// from the same registry. Rolled-back model codes are handed out again, so
+// a Model value from a rolled-back binding must not outlive the rollback.
+func RegistryCheckpoint() (rollback func()) {
+	registry.RLock()
+	n := len(registry.custom)
+	registry.RUnlock()
+	return func() {
+		registry.Lock()
+		defer registry.Unlock()
+		for _, b := range registry.custom[n:] {
+			delete(registry.byModel, b.Model)
+			delete(registry.byName, b.Name)
+		}
+		registry.custom = registry.custom[:n]
+	}
+}
+
 func canonicalC(c Consistency) bool { return c >= Linearizable && c <= Eventual }
 func canonicalP(p Persistency) bool { return p >= Strict && p <= EventualP }
 

@@ -6,6 +6,7 @@ import (
 )
 
 func TestRegisterCustomBinding(t *testing.T) {
+	t.Cleanup(RegistryCheckpoint())
 	m, err := Register("test-strong-local", Linearizable, EventualP)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
@@ -38,6 +39,7 @@ func TestRegisterCustomBinding(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
+	t.Cleanup(RegistryCheckpoint())
 	if _, err := Register("", Linearizable, Strict); err == nil {
 		t.Fatal("empty name must be rejected")
 	}
@@ -59,6 +61,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestRegistryEnumeration(t *testing.T) {
+	t.Cleanup(RegistryCheckpoint())
 	m, err := Register("test-enum", Eventual, Strict)
 	if err != nil {
 		t.Fatalf("Register: %v", err)

@@ -16,18 +16,20 @@ func (strongVis) dispatchWrite(r *Replica, key, scope, txn uint64, done func(Sta
 // key stall until validation; Read-Enforced persistency additionally tracks
 // it until VAL_p (Figure 3).
 func (strongVis) onStrongWriteLaunch(r *Replica, ks *keyState, key uint64, st Stamp, txn uint64) {
-	ks.addTransC(st)
+	sd := r.sideOf(ks)
+	sd.transC.add(st)
 	if r.dur.tracksTransP() {
-		ks.addTransP(st)
+		sd.transP.add(st)
 	}
 }
 
 // onInvReceive mirrors the coordinator's transient bookkeeping at the
 // follower.
 func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) bool {
-	ks.addTransC(p.Stamp)
+	sd := r.sideOf(ks)
+	sd.transC.add(p.Stamp)
 	if r.dur.tracksTransP() {
-		ks.addTransP(p.Stamp)
+		sd.transP.add(p.Stamp)
 	}
 	return true
 }
@@ -36,10 +38,14 @@ func (strongVis) onInvReceive(r *Replica, ks *keyState, from int, p payload) boo
 // under Read-Enforced persistency validation additionally requires VAL_p
 // (Figure 3).
 func (strongVis) readBlocked(r *Replica, ks *keyState) bool {
-	if len(ks.transC) > 0 {
+	sd := r.sideIf(ks)
+	if sd == nil {
+		return false
+	}
+	if sd.transC.len() > 0 {
 		return true
 	}
-	return r.dur.tracksTransP() && len(ks.transP) > 0
+	return r.dur.tracksTransP() && sd.transP.len() > 0
 }
 
 func (strongVis) servesCommitted() bool { return false }

@@ -63,55 +63,6 @@ type Deps struct {
 	AtomicRefs bool
 }
 
-// keyState is the per-key protocol state at one replica.
-type keyState struct {
-	visible   Stamp // stamp of the current visible (volatile) version
-	persisted Stamp // stamp of the latest locally persisted version
-
-	// transC holds stamps INVed but not yet validated for consistency;
-	// transP holds stamps not yet validated for persistency (VAL_p).
-	transC map[Stamp]struct{}
-	transP map[Stamp]struct{}
-
-	consWait []func() // reads waiting for consistency validation
-	persWait []func() // reads waiting for local persistence
-
-	lockTxn   uint64 // transaction with an in-flight write to this key
-	committed Stamp  // latest transactionally committed version (Xact only)
-
-	// Write-back coalescing: at most one persist per key is in flight; newer
-	// stamps arriving meanwhile mark the key dirty and ride the follow-up
-	// write-back. Callbacks fire once their stamp is covered. issuedStamp is
-	// the stamp the in-flight write covers (at most one, so it lives here
-	// rather than in a per-write record); spareCbs is the double-buffer that
-	// lets completion snapshot-and-swap persistCbs without reallocating.
-	persistInFlight bool
-	dirtyStamp      Stamp
-	issuedStamp     Stamp
-	persistCbs      []persistCb
-	spareCbs        []persistCb
-}
-
-// persistCb defers a durability callback onto an in-flight coalesced persist.
-type persistCb struct {
-	st   Stamp
-	done func()
-}
-
-func (ks *keyState) addTransC(st Stamp) {
-	if ks.transC == nil {
-		ks.transC = make(map[Stamp]struct{}, 2)
-	}
-	ks.transC[st] = struct{}{}
-}
-
-func (ks *keyState) addTransP(st Stamp) {
-	if ks.transP == nil {
-		ks.transP = make(map[Stamp]struct{}, 2)
-	}
-	ks.transP[st] = struct{}{}
-}
-
 // pendingWrite tracks a coordinator-side in-flight write.
 type pendingWrite struct {
 	key          uint64
@@ -146,22 +97,24 @@ type Replica struct {
 	gid    int        // global simnet node ID (network identity)
 	member Membership // the replica group this node runs its protocol over
 	eng    *sim.Engine
-	p     params.Params
-	model core.Model
-	vis   VisibilityPolicy // consistency dimension, resolved at construction
-	dur   DurabilityPolicy // persistency dimension, resolved at construction
-	net   *simnet.Network
-	work  *sim.Pool
-	mem   *memhier.Hierarchy
-	dev   *nvm.Device
-	vol   engines.Engine
-	img   engines.Engine
+	p      params.Params
+	model  core.Model
+	vis    VisibilityPolicy // consistency dimension, resolved at construction
+	dur    DurabilityPolicy // persistency dimension, resolved at construction
+	net    *simnet.Network
+	work   *sim.Pool
+	mem    *memhier.Hierarchy
+	dev    *nvm.Device
+	vol    engines.Engine
+	img    engines.Engine
 
 	// M collects this replica's protocol metrics.
 	M Metrics
 
 	lamport uint64
-	keys    []keyState
+	keys    []keyState  // dense hot records, indexed by key
+	sides   [][]keySide // side slab, in sideChunk blocks (see sideOf)
+	nside   int32       // side records handed out
 	pending map[Stamp]*pendingWrite
 
 	// Causal consistency state. waiting indexes the reorder buffer by the
@@ -671,7 +624,8 @@ func (r *Replica) persist(key uint64, st Stamp, done func()) {
 		return
 	}
 	if done != nil {
-		ks.persistCbs = append(ks.persistCbs, persistCb{st: st, done: done})
+		sd := r.sideOf(ks)
+		sd.persistCbs = append(sd.persistCbs, persistCb{st: st, done: done})
 	}
 	if ks.persistInFlight {
 		if st > ks.dirtyStamp {
@@ -722,20 +676,20 @@ func (r *Replica) writeBackDone(key uint64) {
 	// for this key and append new entries, which must not be clobbered. The
 	// spare buffer keeps both backing arrays alive across rounds so the
 	// swap never reallocates.
-	if len(ks.persistCbs) > 0 {
-		cbs := ks.persistCbs
-		ks.persistCbs = ks.spareCbs[:0]
+	if sd := r.sideIf(ks); sd != nil && len(sd.persistCbs) > 0 {
+		cbs := sd.persistCbs
+		sd.persistCbs = sd.spareCbs[:0]
 		for _, cb := range cbs {
 			if cb.st <= ks.persisted {
 				cb.done()
 			} else {
-				ks.persistCbs = append(ks.persistCbs, cb)
+				sd.persistCbs = append(sd.persistCbs, cb)
 			}
 		}
 		for i := range cbs {
 			cbs[i] = persistCb{} // release the callbacks for GC
 		}
-		ks.spareCbs = cbs[:0]
+		sd.spareCbs = cbs[:0]
 	}
 	r.wakePersistWaiters(ks)
 	if ks.dirtyStamp > ks.persisted && !ks.persistInFlight {
@@ -752,11 +706,12 @@ func (r *Replica) persistEvent(addr uint64, done func()) {
 
 // wakeConsWaiters resumes reads stalled on consistency validation.
 func (r *Replica) wakeConsWaiters(ks *keyState) {
-	if len(ks.consWait) == 0 {
+	sd := r.sideIf(ks)
+	if sd == nil || len(sd.consWait) == 0 {
 		return
 	}
-	waiters := ks.consWait
-	ks.consWait = nil
+	waiters := sd.consWait
+	sd.consWait = nil
 	for _, w := range waiters {
 		w()
 	}
@@ -764,11 +719,12 @@ func (r *Replica) wakeConsWaiters(ks *keyState) {
 
 // wakePersistWaiters resumes reads stalled on local persistence.
 func (r *Replica) wakePersistWaiters(ks *keyState) {
-	if len(ks.persWait) == 0 {
+	sd := r.sideIf(ks)
+	if sd == nil || len(sd.persWait) == 0 {
 		return
 	}
-	waiters := ks.persWait
-	ks.persWait = nil
+	waiters := sd.persWait
+	sd.persWait = nil
 	for _, w := range waiters {
 		w()
 	}
@@ -868,7 +824,8 @@ func (r *Replica) readAttempt(key uint64, start int64, stalled bool, done func(S
 				r.trace("RD k%d stalls", key)
 			}
 		}
-		ks.consWait = append(ks.consWait, func() { r.readAttempt(key, start, true, done) })
+		sd := r.sideOf(ks)
+		sd.consWait = append(sd.consWait, func() { r.readAttempt(key, start, true, done) })
 		return
 	}
 	if r.dur.readBlocked(r, ks) {
@@ -878,7 +835,8 @@ func (r *Replica) readAttempt(key uint64, start int64, stalled bool, done func(S
 				r.trace("RD k%d stalls (persist)", key)
 			}
 		}
-		ks.persWait = append(ks.persWait, func() { r.readAttempt(key, start, true, done) })
+		sd := r.sideOf(ks)
+		sd.persWait = append(sd.persWait, func() { r.readAttempt(key, start, true, done) })
 		return
 	}
 

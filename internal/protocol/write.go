@@ -168,7 +168,9 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 	pw.valSent = true
 	r.broadcast(payload{Kind: kind, Key: pw.key, Stamp: pw.stamp})
 	ks := &r.keys[pw.key]
-	delete(ks.transC, pw.stamp)
+	if sd := r.sideIf(ks); sd != nil {
+		sd.transC.del(pw.stamp)
+	}
 	if !r.dur.tracksTransP() {
 		r.wakeConsWaiters(ks)
 	}
@@ -178,8 +180,10 @@ func (r *Replica) validate(pw *pendingWrite, kind MsgKind) {
 func (r *Replica) validateP(pw *pendingWrite) {
 	r.broadcast(payload{Kind: MsgVALp, Key: pw.key, Stamp: pw.stamp})
 	ks := &r.keys[pw.key]
-	delete(ks.transC, pw.stamp)
-	delete(ks.transP, pw.stamp)
+	if sd := r.sideIf(ks); sd != nil {
+		sd.transC.del(pw.stamp)
+		sd.transP.del(pw.stamp)
+	}
 	r.wakeConsWaiters(ks)
 }
 
@@ -210,8 +214,12 @@ func (r *Replica) onVAL(p payload) {
 		return
 	}
 	ks := &r.keys[p.Key]
-	delete(ks.transC, p.Stamp)
-	if len(ks.transC) == 0 && (!r.dur.tracksTransP() || len(ks.transP) == 0) {
+	sd := r.sideIf(ks)
+	if sd == nil {
+		return // nothing in flight, nobody waiting
+	}
+	sd.transC.del(p.Stamp)
+	if sd.transC.len() == 0 && (!r.dur.tracksTransP() || sd.transP.len() == 0) {
 		r.wakeConsWaiters(ks)
 	}
 }
@@ -222,9 +230,13 @@ func (r *Replica) onVALp(p payload) {
 		return // scope VAL_p carries no per-key state
 	}
 	ks := &r.keys[p.Key]
-	delete(ks.transC, p.Stamp)
-	delete(ks.transP, p.Stamp)
-	if len(ks.transC) == 0 && len(ks.transP) == 0 {
+	sd := r.sideIf(ks)
+	if sd == nil {
+		return // nothing in flight, nobody waiting
+	}
+	sd.transC.del(p.Stamp)
+	sd.transP.del(p.Stamp)
+	if sd.transC.len() == 0 && sd.transP.len() == 0 {
 		r.wakeConsWaiters(ks)
 	}
 }

@@ -149,6 +149,12 @@ func Map[T, R any](items []T, workers int, fn func(T) (R, error)) ([]R, error) {
 	return out, err
 }
 
+// errRecorded, when non-nil, runs after a worker has recorded its item's
+// error, outside the lock. Tests set it to hold the other workers until the
+// error is visible, so the no-new-submissions contract is checked on a
+// schedule they control.
+var errRecorded func()
+
 // forEach runs fn(0..n-1) over up to workers goroutines, handing out
 // indices in submission order. After any error, no new index is started;
 // calls already in flight complete before forEach returns. When several
@@ -196,6 +202,9 @@ func forEach(n, workers int, fn func(i int) error) error {
 					firstErr, errIdx = err, i
 				}
 				mu.Unlock()
+				if errRecorded != nil {
+					errRecorded()
+				}
 			}
 		}
 	}

@@ -141,25 +141,39 @@ func TestMapPreservesOrderAndBoundsWorkers(t *testing.T) {
 	}
 }
 
+// TestMapStopsSubmittingAfterError checks that no item starts once an
+// error is recorded. Items past the failing one block until the error is
+// recorded, so whatever the goroutine schedule, each other worker has at
+// most one item in flight when it sees the error, and none after.
 func TestMapStopsSubmittingAfterError(t *testing.T) {
+	const workers, failAt = 2, 3
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i
 	}
+	recorded := make(chan struct{})
+	var once sync.Once
+	errRecorded = func() { once.Do(func() { close(recorded) }) }
+	t.Cleanup(func() { errRecorded = nil })
+
 	boom := errors.New("boom")
 	var started atomic.Int32
-	_, err := Map(items, 2, func(v int) (int, error) {
+	_, err := Map(items, workers, func(v int) (int, error) {
 		started.Add(1)
-		if v == 3 {
+		switch {
+		case v == failAt:
 			return 0, fmt.Errorf("item %d: %w", v, boom)
+		case v > failAt:
+			<-recorded
 		}
 		return v, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if s := started.Load(); int(s) == len(items) {
-		t.Fatal("scheduler kept submitting after the error")
+	// Items 0..failAt, plus at most one in flight per other worker.
+	if s, most := int(started.Load()), failAt+1+(workers-1); s > most {
+		t.Fatalf("scheduler started %d items, want <= %d: it kept submitting after the error", s, most)
 	}
 }
 

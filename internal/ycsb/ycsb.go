@@ -108,6 +108,11 @@ func (u Uniform) Keys() int { return u.N }
 // item ranks follow P(i) ~ 1/i^theta over n items. Rank 0 is the hottest
 // key; a fixed multiplicative hash scatters ranks over the key space so
 // hot keys are not adjacent.
+//
+// A Zipfian is immutable after NewZipfian: Next, KeyOfRank and HottestKey
+// only read it and draw from the caller's RNG. One chooser is therefore
+// safe to share across clients and across goroutines, and a cluster builds
+// one for all of its clients and sources.
 type Zipfian struct {
 	n     int
 	theta float64
@@ -209,3 +214,6 @@ func (g *Generator) Next() Op {
 
 // Counts returns how many reads and writes were generated.
 func (g *Generator) Counts() (reads, writes uint64) { return g.reads, g.writes }
+
+// Chooser returns the key chooser the generator draws keys from.
+func (g *Generator) Chooser() KeyChooser { return g.kc }
