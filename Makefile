@@ -17,27 +17,17 @@ test:
 
 # Full gate: vet plus the test suite under the race detector. The parallel
 # sweep runner makes every experiment concurrent, so races are first-class
-# correctness bugs here. The NIC fast-path differential, the sharded
-# differential, and the capacity/scaling smokes run explicitly on top: the
-# fast path elides events, the fan-out fusion layer elides broadcast and
-# send-time arrive hops, the NVM completion trains elide device completion
-# events (on both engines), the sharded topology re-routes client ops
-# across replica groups, and the skew-adaptive routing policies (load
-# placement, replica reads, batched forwarding) re-place coordinators from
-# sender-local state, so their equivalence proofs are gate-level (fwdbatch=0
-# byte-identity rides on the goldens and TestShard1MatchesDirect). The
-# fan-out and completion-train benchmarks run one iteration as smokes
-# against bit-rot.
+# correctness bugs here. The sharded differential, the skew-adaptive routing
+# golden seeds, and the capacity/scaling smokes run explicitly on top: the
+# sharded topology re-routes client ops across replica groups, and the
+# skew-adaptive routing policies (load placement, replica reads, batched
+# forwarding) re-place coordinators from sender-local state, so their
+# equivalence proofs are gate-level (fwdbatch=0 byte-identity rides on the
+# goldens and TestShard1MatchesDirect).
 check: vet
 	$(GO) test -race ./...
-	$(GO) test -race ./internal/cluster/ -run 'TestNICFastPathDifferential|TestNICFastPathEventReduction'
-	$(GO) test -race ./internal/cluster/ -run 'TestFanoutFusionDifferential|TestFanoutFusionEventReduction'
-	$(GO) test -race ./internal/cluster/ -run 'TestDevTrainDifferential|TestDevTrainEventReduction'
-	$(GO) test -race ./internal/nvm/ -run 'TestTrainDifferential|TestTrainOpenLoopReduction'
 	$(GO) test -race ./internal/cluster/ -run 'TestSharded'
 	$(GO) test -race ./internal/cluster/ -run 'TestHotSketchGoldenSeed|TestP2CSpreadDeterministic'
-	$(GO) test -run='^$$' -bench BenchmarkBroadcastFanout -benchtime=1x .
-	$(GO) test -run='^$$' -bench BenchmarkNVMCompletionTrain -benchtime=1x .
 	$(GO) run ./cmd/ddpbench -exp capacity -quick > /dev/null
 	$(GO) run ./cmd/ddpbench -exp capacity -quick -shards 4 > /dev/null
 	$(GO) run ./cmd/ddpbench -exp scaling -quick > /dev/null

@@ -12,9 +12,7 @@
 // Performance investigation flags: -cpuprofile/-memprofile write pprof
 // profiles covering the experiment run; -eventstats prints per-cell
 // event-scheduler counters (events/sim-second, peak queue depth, timing-wheel
-// occupancy) on stderr alongside the normal progress lines — including the
-// elided-hop split (NIC fast path, fused fan-out, send-time chaining) and
-// the device completion-train split — plus
+// occupancy) on stderr alongside the normal progress lines, plus
 // logical-process synchronizer counters (epochs, cross-LP mail) when -lps
 // engages the parallel intra-cell engine. -parallel and -lps share the core
 // budget (cells x LP workers never exceeds GOMAXPROCS); neither changes any
@@ -48,8 +46,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
 	eventstats := flag.Bool("eventstats", false, "print per-cell event-scheduler stats on stderr")
-	nofusion := flag.Bool("nofusion", false, "disable broadcast fan-out fusion and send-time delivery elision (never changes results, only event counts)")
-	nodevtrain := flag.Bool("nodevtrain", false, "disable the NVM devices' fused completion trains (never changes results, only event counts)")
 	flag.Parse()
 
 	o := harness.DefaultOptions()
@@ -59,8 +55,6 @@ func main() {
 	o.LPs = *lps
 	o.Progress = os.Stderr
 	o.EventStats = *eventstats
-	o.NoFanoutFusion = *nofusion
-	o.NoDevTrain = *nodevtrain
 	if *quick {
 		o = o.Quick()
 	}

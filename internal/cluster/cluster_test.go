@@ -247,3 +247,54 @@ func TestClusterSharesOneKeyChooser(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSlicingInvisible pins that where a driver stops the engine cannot
+// change the simulation: the paper's Figure 6 cell at <Lin,Sync>, run in one
+// Eng.Run per phase and in 50 us slices, must produce identical Results —
+// every outcome, the dispatched event count, and the scheduler counters.
+func TestRunSlicingInvisible(t *testing.T) {
+	cfg := Config{
+		Model:    core.Model{C: core.Linearizable, P: core.Synchronous},
+		Workload: ycsb.WorkloadA,
+		Params:   params.Default(),
+		Seed:     1,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := runBuilt(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slice = 50_000
+	runTo := func(end int64) {
+		for at := c.Eng.Now() + slice; at < end; at += slice {
+			c.Eng.Run(at)
+		}
+		c.Eng.Run(end)
+	}
+	c.Start()
+	runTo(c.Cfg.WarmupNs)
+	c.BeginMeasurement()
+	runTo(c.Cfg.WarmupNs + c.Cfg.MeasureNs)
+	c.StopMeasurement()
+	sliced := c.Collect(c.Cfg.MeasureNs, 0)
+
+	whole.WallTime = 0
+	if !reflect.DeepEqual(whole, sliced) {
+		wv, sv := reflect.ValueOf(whole).Elem(), reflect.ValueOf(sliced).Elem()
+		for i := 0; i < wv.NumField(); i++ {
+			if !reflect.DeepEqual(wv.Field(i).Interface(), sv.Field(i).Interface()) {
+				t.Errorf("field %s diverged:\n  whole:  %+v\n  sliced: %+v",
+					wv.Type().Field(i).Name, wv.Field(i).Interface(), sv.Field(i).Interface())
+			}
+		}
+		t.Fatal("slicing the run changed the result")
+	}
+}

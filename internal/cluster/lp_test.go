@@ -85,19 +85,6 @@ func equivalentResults(t *testing.T, label string, seq, lp *Result) {
 // given worker count, asserting byte-identical results.
 func runPair(t *testing.T, label string, cfg Config, workers int) {
 	t.Helper()
-	// The NIC fast path elides deliver events more often under the
-	// sequential engine than under LP epochs (the clock may not jump past an
-	// epoch barrier), so Events would legitimately differ. Disable it here —
-	// TestNICFastPathDifferential proves on/off equivalence separately.
-	// Fan-out fusion likewise elides arrive events under the sequential
-	// engine only (LP never fuses); TestFanoutFusionDifferential proves its
-	// on/off equivalence separately. The NVM completion train fuses on both
-	// engines but at different rates (LP gap proofs stop at epoch
-	// barriers); TestDevTrainDifferential proves its on/off equivalence on
-	// both engines separately.
-	cfg.NoNICFastPath = true
-	cfg.NoFanoutFusion = true
-	cfg.NoDevTrain = true
 	seqCfg := cfg
 	seqCfg.IntraParallel = 1
 	seq, err := Run(seqCfg)
@@ -168,9 +155,6 @@ func TestLPWorkerCountInvariance(t *testing.T) {
 	cfg := smallConfig(core.Model{C: core.Linearizable, P: core.Synchronous})
 	cfg.Params.Servers = 5
 	cfg.TrackHistory = true
-	cfg.NoNICFastPath = true // Events comparability; see runPair
-	cfg.NoFanoutFusion = true
-	cfg.NoDevTrain = true
 	seqCfg := cfg
 	seqCfg.IntraParallel = 1
 	seq, err := Run(seqCfg)

@@ -57,29 +57,6 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// ChainResolver is the deferred-continuation hook behind the network layer's
-// send-time arrive elision and the NVM completion train. A component that
-// wants to run work "at time t" without scheduling an event — but cannot
-// jump the clock because a handler is still executing at the current time —
-// registers itself with SetChain during the dispatch; the engine calls
-// OnChain once the dispatch completes, when a clock jump is safe again.
-// OnChain re-proves the gap itself (via TryAdvance) and falls back to
-// scheduling normally when the proof fails, so deferral never changes a
-// simulated outcome.
-type ChainResolver interface {
-	OnChain()
-}
-
-// chainEntry is one registered deferred continuation plus the time its
-// parked work would run at. The time makes the parked work visible to gap
-// proofs (TryAdvance refuses to jump at or past it) and orders resolution:
-// entries resolve in ascending (at, registration order), mirroring the
-// dispatch order the parked work would have had as real events.
-type chainEntry struct {
-	c  ChainResolver
-	at int64
-}
-
 // Scheduler selects the engine's pending-event structure.
 type Scheduler int
 
@@ -134,25 +111,10 @@ type Engine struct {
 	// scheduler at all when the bound already proves the arrival wins.
 	schedLB int64
 
-	// runUntil is the time bound of the Run in progress (maxTime inside
-	// RunAll/Step, 0 before the first Run). TryAdvance refuses to move the
-	// clock to it or past it, so clock jumps never cross a phase boundary
-	// (measurement flips, LP epoch barriers) that the bound encodes.
-	runUntil int64
-
 	// ing, when bound, feeds externally keyed arrivals into the dispatch
 	// loop; at equal timestamps arrivals run before locally scheduled
 	// events (see Ingress).
 	ing *Ingress
-
-	// chain holds continuations deferred by the event in progress, resolved
-	// after it returns (see ChainResolver). dispatching reports whether an
-	// event handler is currently on the stack — deferral is only meaningful
-	// mid-dispatch. The queue is empty outside dispatchOne's drain; it holds
-	// more than one entry only when independent elision layers defer in the
-	// same dispatch (a unicast send plus a device completion, say).
-	chain       []chainEntry
-	dispatching bool
 
 	useHeap bool
 	heap    eventHeap
@@ -258,26 +220,6 @@ func (e *Engine) AtEvent(t int64, h Handler, arg uint64) {
 	e.push(event{at: t, seq: e.seq, h: h, arg: arg})
 }
 
-// ReserveSeq allocates and returns the next event sequence number without
-// scheduling anything. An elision layer that may or may not materialize an
-// event later (the NVM completion train) reserves the seq at the point the
-// unelided engine would have scheduled, so every other event's tie-break key
-// is identical whether the elision is on or off; AtEventSeq spends the
-// reservation if the event turns out to be needed.
-func (e *Engine) ReserveSeq() uint64 {
-	e.seq++
-	return e.seq
-}
-
-// AtEventSeq schedules h.OnEvent(arg) at time t under a sequence number
-// previously obtained from ReserveSeq — the event dispatches at exactly the
-// (t, seq) position a normally-scheduled event would have occupied at
-// reservation time. t must be >= Now(); the caller guarantees it (a
-// completion time never precedes the clock that issued it).
-func (e *Engine) AtEventSeq(t int64, seq uint64, h Handler, arg uint64) {
-	e.push(event{at: t, seq: seq, h: h, arg: arg})
-}
-
 // push hands the event to the active scheduler and tracks the pending
 // high-water mark.
 func (e *Engine) push(ev event) {
@@ -297,14 +239,6 @@ func (e *Engine) push(ev event) {
 	}
 }
 
-// popIfAtMost extracts the next event if its time is <= limit.
-func (e *Engine) popIfAtMost(limit int64) (event, bool) {
-	if e.useHeap {
-		return e.heap.popIfAtMost(limit)
-	}
-	return e.wheel.popIfAtMost(limit)
-}
-
 // headHint returns the scheduler head time recorded by the last failed
 // popIfAtMost probe (maxTime when the scheduler was empty). Valid only
 // immediately after a failed probe, before any push.
@@ -317,102 +251,10 @@ func (e *Engine) headHint() int64 {
 
 const maxTime = int64(^uint64(0) >> 1)
 
-// headAt returns the earliest pending local event time (maxTime when the
-// scheduler is empty) without dispatching anything.
-func (e *Engine) headAt() int64 {
-	if e.useHeap {
-		return e.heap.headAt()
-	}
-	return e.wheel.headAt()
-}
-
-// TryAdvance reports whether the engine can prove that nothing is pending —
-// no local event and no ingress arrival — at or before time t, with t still
-// strictly inside the current Run's bound; when so it advances the clock to
-// t and returns true. The caller may then perform work "at t" directly,
-// exactly as a scheduled event at t would have, without paying for the
-// event: the simnet fast path uses this to collapse an uncontended
-// arrive→deliver pair into one dispatch. On false the clock is untouched
-// and the caller must fall back to scheduling normally.
-//
-// The strict runUntil bound keeps the jump inside the dispatch window the
-// caller is known to be draining: a Run(until) boundary is where phase
-// flips (measurement on/off) and LP epoch barriers (new cross-LP arrivals
-// becoming visible) happen, so work at or past it must go through a real
-// event.
-func (e *Engine) TryAdvance(t int64) bool {
-	if e.stopped || t >= e.runUntil || t < e.now {
-		// A Stop() leaves pending work queued for a later Run; jumping the
-		// clock past it here would run work the stopped run must not.
-		return false
-	}
-	if e.ing != nil && e.ing.Len() > 0 && e.ing.HeadAt() <= t {
-		return false
-	}
-	// Deferred continuations park work the scheduler cannot see; their
-	// registered times make them count against the gap exactly as the
-	// scheduled events they stand in for would have.
-	for i := range e.chain {
-		if e.chain[i].at <= t {
-			return false
-		}
-	}
-	if t >= e.schedLB {
-		// The lower bound does not prove the gap; probe the real head.
-		head := e.headAt()
-		if head <= t {
-			return false
-		}
-		e.schedLB = head
-	}
-	e.now = t
-	return true
-}
-
-// Dispatching reports whether an event handler is currently executing on
-// this engine — the window in which SetChain deferral is meaningful.
-func (e *Engine) Dispatching() bool { return e.dispatching }
-
-// SetChain registers c to be resolved when the event currently being
-// dispatched returns (see ChainResolver), with at the time of the parked
-// work. A component registers at most one entry at a time; independent
-// components may hold entries simultaneously, and resolution order is
-// ascending (at, registration order).
-func (e *Engine) SetChain(c ChainResolver, at int64) {
-	e.chain = append(e.chain, chainEntry{c: c, at: at})
-}
-
 // dispatchOne executes the next event at or before until — the earlier of
-// the scheduler head and the ingress head, arrivals first on ties — then
-// resolves any chained continuations the event deferred, and reports whether
-// anything ran.
+// the scheduler head and the ingress head, arrivals first on ties — and
+// reports whether anything ran.
 func (e *Engine) dispatchOne(until int64) bool {
-	e.dispatching = true
-	ran := e.dispatchNext(until)
-	// Resolve deferred continuations now that no handler is mid-execution:
-	// a clock jump is safe again, and OnChain may itself defer more work.
-	// Earliest-at first: the parked work must run in the order the events it
-	// stands in for would have dispatched, and resolving a later entry first
-	// would only fail its proof against the earlier one still queued.
-	for len(e.chain) > 0 {
-		mi := 0
-		for i := 1; i < len(e.chain); i++ {
-			if e.chain[i].at < e.chain[mi].at {
-				mi = i
-			}
-		}
-		c := e.chain[mi].c
-		copy(e.chain[mi:], e.chain[mi+1:])
-		e.chain[len(e.chain)-1] = chainEntry{}
-		e.chain = e.chain[:len(e.chain)-1]
-		c.OnChain()
-	}
-	e.dispatching = false
-	return ran
-}
-
-// dispatchNext picks and runs the next event without chain resolution.
-func (e *Engine) dispatchNext(until int64) bool {
 	// Local events strictly before a pending arrival run first; at the
 	// arrival's own timestamp the arrival wins. When schedLB already
 	// proves no local event precedes the arrival, skip the scheduler
@@ -463,7 +305,6 @@ func (e *Engine) popArrival() bool {
 // time at which it stopped. Events scheduled exactly at until are executed.
 func (e *Engine) Run(until int64) int64 {
 	e.stopped = false
-	e.runUntil = until
 	for !e.stopped && e.dispatchOne(until) {
 	}
 	if e.now < until && !e.stopped {
@@ -477,7 +318,6 @@ func (e *Engine) Run(until int64) int64 {
 // and workloads known to quiesce.
 func (e *Engine) RunAll() int64 {
 	e.stopped = false
-	e.runUntil = maxTime
 	for !e.stopped && e.dispatchOne(maxTime) {
 	}
 	return e.now
@@ -486,7 +326,6 @@ func (e *Engine) RunAll() int64 {
 // Step executes exactly one event if any is pending and reports whether it
 // did.
 func (e *Engine) Step() bool {
-	e.runUntil = maxTime
 	return e.dispatchOne(maxTime)
 }
 

@@ -41,14 +41,6 @@ func (h *eventHeap) push(ev event) {
 // peek returns the minimum event without removing it. Call only when len>0.
 func (h *eventHeap) peek() *event { return &h.evs[0] }
 
-// headAt returns the minimum pending time, or maxTime when empty.
-func (h *eventHeap) headAt() int64 {
-	if len(h.evs) == 0 {
-		return maxTime
-	}
-	return h.evs[0].at
-}
-
 // popIfAtMost removes and returns the minimum event if its time is <= limit.
 func (h *eventHeap) popIfAtMost(limit int64) (event, bool) {
 	if len(h.evs) == 0 {

@@ -19,7 +19,7 @@ import "math"
 // Structure: one FIFO lane per (src,dst) flow. Reliable-connection fabrics
 // deliver each flow in order (simnet clamps a jittered early arrival behind
 // its predecessor), so every lane is already sorted by (At, Seq) as pushed
-// and the queue is a merge of sorted streams: Push is an O(1) ring append,
+// and the queue is a merge of sorted streams: Push is an amortized O(1) append,
 // and the canonical minimum is tracked by a winner tree over packed per-lane
 // head keys, so Push and Pop touch O(log lanes) contiguous words instead of
 // paying cache-missing heap sifts per message on the simulator's hottest
@@ -60,11 +60,18 @@ func (a headKey) less(b headKey) bool {
 	return a.key < b.key
 }
 
-// ilane is one (src,dst) flow: a FIFO ring of arrivals sorted by push order.
+// ilane is one (src,dst) flow: a FIFO of arrivals sorted by push order.
+// evs[pos:] are queued; Pop compacts the consumed prefix away once it is at
+// least half the slice, so a lane that never drains keeps storage within a
+// small multiple of its peak occupancy.
 type ilane struct {
 	evs []IngressEvent
 	pos int
 }
+
+// laneCompactMin is the smallest consumed prefix worth compacting; below it
+// a lane just keeps appending.
+const laneCompactMin = 32
 
 // IngressEvent is one pending arrival.
 type IngressEvent struct {
@@ -164,6 +171,12 @@ func (q *Ingress) Pop() IngressEvent {
 		q.heads[lane] = headKey{at: math.MaxInt64}
 		q.replay(lane)
 		return ev
+	}
+	if l.pos >= laneCompactMin && 2*l.pos >= len(l.evs) {
+		n := copy(l.evs, l.evs[l.pos:])
+		clear(l.evs[n:]) // drop stale handler references
+		l.evs = l.evs[:n]
+		l.pos = 0
 	}
 	h := &l.evs[l.pos]
 	q.heads[lane] = headKey{at: h.At, key: packKey(h.Src, h.Seq)}

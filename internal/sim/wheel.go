@@ -18,9 +18,8 @@ import "math/bits"
 // the window spans wheelSlots ns, a bucket holds events of exactly one
 // timestamp at a time; inserts keep every chain sorted by seq (a tail
 // append in the overwhelmingly common ascending case, a walk-splice for
-// reserved-seq and overflow-drain stragglers — see insert), and dispatching
-// buckets in circular order from
-// wnow's cursor replays the exact (time, seq) order the heap would produce
+// overflow-drain stragglers — see insert), and dispatching buckets in
+// circular order from wnow's cursor replays the exact (time, seq) order the heap would produce
 // — determinism is bit-for-bit unchanged (see
 // TestSchedulerDifferentialRandomized and the golden 5x5 fixture).
 //
@@ -52,9 +51,9 @@ type eventNode struct {
 // timingWheel is the engine's default scheduler. The zero value is ready to
 // use; storage is allocated on first push.
 type timingWheel struct {
-	head []int32  // per-bucket chain head into nodes, -1 = empty
-	tail []int32  // per-bucket chain tail (append side)
-	occ  []uint64 // one bit per bucket
+	head []int32          // per-bucket chain head into nodes, -1 = empty
+	tail []int32          // per-bucket chain tail (append side)
+	occ  []uint64         // one bit per bucket
 	sum  [sumWords]uint64 // one bit per occ word
 
 	nodes []eventNode
@@ -121,10 +120,9 @@ func (w *timingWheel) push(ev event, now int64) {
 // insert places ev into its bucket's chain in seq order. Only called with
 // ev.at in [wnow, wnow+wheelSlots). Pushes arrive in ascending seq almost
 // always, so the common case is a tail append (one tail-seq compare); the
-// walk-splice covers the two producers of out-of-order seqs — reserved-seq
-// events (Engine.AtEventSeq) landing after younger same-time events, and an
-// overflow drain re-bucketing an old event into a bucket a handler already
-// pushed a younger same-time event into.
+// walk-splice covers the one producer of out-of-order seqs — an overflow
+// drain re-bucketing an old event into a bucket a handler already pushed a
+// younger same-time event into.
 func (w *timingWheel) insert(ev event) {
 	slot := int32(ev.at) & wheelMask
 	ni := w.alloc(ev)
@@ -227,24 +225,6 @@ func (w *timingWheel) popIfAtMost(limit int64) (event, bool) {
 	w.count--
 	w.wnow = ev.at
 	return ev, true
-}
-
-// headAt returns the earliest pending event time without dispatching or
-// re-bucketing anything (maxTime when empty). The true head is the minimum
-// over the window and the overflow level: drainOverflow only ever moves
-// events between the two, so peeking both is exact.
-func (w *timingWheel) headAt() int64 {
-	head := maxTime
-	if w.count > 0 {
-		slot := w.firstOccupied()
-		head = w.wnow + int64((slot-int32(w.wnow))&wheelMask)
-	}
-	if w.overflow.len() > 0 {
-		if at := w.overflow.peek().at; at < head {
-			head = at
-		}
-	}
-	return head
 }
 
 // firstOccupied returns the first non-empty bucket in circular order from

@@ -58,25 +58,6 @@ type Config struct {
 	QueuePairs int   // max in-flight sends per NIC; extra sends queue
 	Seed       uint64
 
-	// NoFastPath disables the flow-level delivery fast path (see delivery
-	// and arrive): with the fast path on — the default — an arrival whose
-	// receive queue is idle and whose serialization window provably contains
-	// no other simulated work is handed to its handler in the same dispatch,
-	// at the identical timestamp the two-hop slow path would compute. The
-	// fast path never changes any simulated outcome, only the event count
-	// (see cluster's TestNICFastPathDifferential); this switch exists for
-	// that differential proof and for before/after event accounting.
-	NoFastPath bool
-
-	// NoFanoutFusion disables the fan-out fusion layer (sequential wiring
-	// only; LP wiring never fuses): fused broadcast delivery — one multicast
-	// record carrying all copies of a BroadcastRange, chaining copy to copy
-	// via gap proofs instead of scheduling one arrive event each (see
-	// multicast) — and send-time arrive elision for unicast sends (see
-	// Network.OnChain). Like NoFastPath, the switch changes only event
-	// counts, never a simulated outcome (TestFanoutFusionDifferential).
-	NoFanoutFusion bool
-
 	// MaxKind, when > 0, is the highest Message.Kind the workload will send;
 	// per-kind counters are sized to it up front so the send hot path never
 	// grows them. Kinds above MaxKind still work through a cold grow path.
@@ -144,18 +125,9 @@ type txState struct {
 // rxState is the receive side of one NIC, touched only by the destination
 // node (its own LP under parallel wiring).
 type rxState struct {
-	rxFree   int64 // NIC receive next-free time
-	sumDelay int64
-	dropped  uint64
-	fast     uint64 // arrivals delivered through the one-hop fast path
-	// Every cross-node or loopback arrival reaches the node through exactly
-	// one of the next three ways, so schedArr + fused + chained always
-	// equals the arrivals processed so far (== delivered once quiescent) —
-	// the elision-accounting identity TestFusedBroadcastDeliveriesIdentical
-	// pins per node.
-	schedArr  uint64      // arrivals dispatched as real (scheduled) events
-	fused     uint64      // arrivals chained inline from a fused broadcast
-	chained   uint64      // arrivals elided at send time (deferred unicast)
+	rxFree    int64 // NIC receive next-free time
+	sumDelay  int64
+	dropped   uint64
 	delivered uint64      // messages handed to the node (incl. dropped)
 	free      []*delivery // recycled delivery records (LP wiring only)
 }
@@ -184,18 +156,6 @@ type Network struct {
 	ing     *sim.Ingress
 	seqFree []*delivery
 
-	// Fan-out fusion state (sequential wiring with fusion enabled only).
-	// pend holds, per (src,dst) lane, the one not-yet-pushed copy of a
-	// fused broadcast parked on that lane; def holds the one deferred
-	// unicast arrival awaiting end-of-dispatch chain resolution. Both are
-	// arrivals the ingress cannot see yet, so any later push to the same
-	// lane must flush them first (lanes are FIFO), and every gap proof
-	// taken while one is pending must account for it.
-	fusing bool
-	pend   []pendSlot
-	def    deferredSend
-	mcFree []*multicast
-
 	// Parallel wiring: per-destination ingresses and per-(src,dst)
 	// mailboxes drained at epoch barriers.
 	lp       bool
@@ -220,10 +180,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	n := newNetwork(engs, cfg)
 	n.ing = sim.NewIngress(cfg.Nodes * cfg.Nodes) // one lane per (src,dst) flow
 	eng.BindIngress(n.ing)
-	if !cfg.NoFanoutFusion {
-		n.fusing = true
-		n.pend = make([]pendSlot, cfg.Nodes*cfg.Nodes)
-	}
 	return n
 }
 
@@ -327,7 +283,6 @@ const (
 // so the record's events schedule closure-free.
 func (d *delivery) OnEvent(arg uint64) {
 	if arg == hopArrive {
-		d.n.rx[d.msg.To].schedArr++
 		d.arrive()
 		return
 	}
@@ -353,37 +308,15 @@ func (n *Network) newDelivery(at int) *delivery {
 // arrive runs when the message reaches the destination NIC: the receive-side
 // serialization queues in arrival order (cross-source interleavings at the
 // destination are decided by arrival, not send).
-//
-// Fast path: when the flow is uncontended — the receive queue is idle at the
-// arrival (rxStart == now) and the engine proves no other event, local or
-// ingress, falls inside the serialization window (now, rxDone] — the
-// intermediate queueing hop is skipped: the clock jumps to rxDone and the
-// handler runs in this same dispatch. The timestamp is byte-identical to the
-// slow path's (rxDone is computed the same way), the relative order of all
-// handler invocations is unchanged (nothing else was due in the window, and
-// the skipped event's unallocated sequence number shifts later sequence
-// numbers uniformly, preserving every tie-break), and rx bookkeeping evolves
-// identically — so only the event count differs. A busy receive queue falls
-// back automatically: the predecessor's pending deliver event at old rxFree
-// <= rxDone makes TryAdvance fail.
 func (d *delivery) arrive() {
-	n := d.n
-	to := d.msg.To
-	eng := n.engs[to]
-	rx := &n.rx[to]
-	now := eng.Now()
+	eng := d.n.engs[d.msg.To]
+	rx := &d.n.rx[d.msg.To]
 	rxStart := rx.rxFree
-	if rxStart < now {
+	if now := eng.Now(); rxStart < now {
 		rxStart = now
 	}
-	rxDone := rxStart + d.ser
-	rx.rxFree = rxDone
-	if !n.cfg.NoFastPath && rxStart == now && eng.TryAdvance(rxDone) {
-		rx.fast++
-		d.deliver()
-		return
-	}
-	eng.AtEvent(rxDone, d, hopDeliver)
+	rx.rxFree = rxStart + d.ser
+	eng.AtEvent(rx.rxFree, d, hopDeliver)
 }
 
 // deliver hands the message to the destination handler and recycles the
@@ -398,13 +331,6 @@ func (d *delivery) deliver() {
 	} else {
 		n.seqFree = append(n.seqFree, d)
 	}
-	n.deliverMsg(msg)
-}
-
-// deliverMsg hands one message to its destination handler with delivery
-// accounting — the shared tail of unicast deliveries and fused broadcast
-// copies.
-func (n *Network) deliverMsg(msg Message) {
 	rx := &n.rx[msg.To]
 	rx.delivered++
 	rx.sumDelay += n.engs[msg.To].Now() - msg.SentAt
@@ -428,9 +354,7 @@ func (tx *txState) growByKind(k int) {
 // prepSend performs all sender-side bookkeeping of one transmission —
 // accounting, queue-pair backpressure, transmit-queue occupancy, latency,
 // jitter, and the pair-FIFO clamp — and returns the wire serialization time
-// and the arrival time at the destination NIC. It is the shared front half
-// of Send and of each copy of a fused broadcast, so the two paths evolve
-// sender state bit-identically.
+// and the arrival time at the destination NIC.
 //
 // Every quantity below is derived from sender-local state and the sender's
 // clock, so a send computes identically under sequential and LP wiring.
@@ -514,70 +438,8 @@ func (n *Network) Send(msg Message) {
 		*b = append(*b, mailEntry{at: arrive, seq: seq, d: d})
 		return
 	}
-	lane := msg.From*N + msg.To
-	if n.fusing {
-		// A not-yet-visible arrival already parked on this lane must enter
-		// the ingress first: lanes are FIFO, and this send's arrival is
-		// clamped at or after it.
-		if n.pend[lane].mc != nil {
-			n.flushPend(lane)
-		} else if n.def.d != nil && n.def.lane == int32(lane) {
-			n.flushDef()
-		}
-		if n.def.d == nil && eng.Dispatching() {
-			// Send-time arrive elision: park the arrival and let the
-			// engine chain-resolve it once this dispatch completes — if
-			// the gap proof holds then, the arrive hop runs without ever
-			// being scheduled. OnChain falls back to this same ingress
-			// push when it fails.
-			n.def = deferredSend{d: d, at: arrive, seq: seq, lane: int32(lane)}
-			eng.SetChain(n, arrive)
-			return
-		}
-	}
-	n.ing.Push(lane,
+	n.ing.Push(msg.From*N+msg.To,
 		sim.IngressEvent{At: arrive, Src: int32(msg.From), Seq: seq, H: d, Arg: hopArrive})
-}
-
-// deferredSend is the one unicast arrival parked for end-of-dispatch chain
-// resolution (see Send and Network.OnChain).
-type deferredSend struct {
-	d    *delivery
-	at   int64
-	seq  uint64
-	lane int32
-}
-
-// flushDef pushes the deferred unicast arrival to the ingress with its
-// original key, giving up on eliding it. The engine's chain slot may still
-// fire OnChain afterwards; it no-ops on an empty deferral.
-func (n *Network) flushDef() {
-	def := n.def
-	n.def.d = nil
-	n.ing.Push(int(def.lane),
-		sim.IngressEvent{At: def.at, Src: int32(def.d.msg.From), Seq: def.seq, H: def.d, Arg: hopArrive})
-}
-
-// OnChain resolves the deferred unicast arrival once the dispatch that sent
-// it completes: if the engine proves nothing else runs up to the arrival
-// time, the arrive hop runs inline right now (composing with the rx fast
-// path, so an uncontended message costs zero scheduled events end-to-end);
-// otherwise the arrival takes the normal ingress path with its original key,
-// dispatching exactly as an undeferred send would have.
-func (n *Network) OnChain() {
-	def := n.def
-	if def.d == nil {
-		return
-	}
-	n.def.d = nil
-	eng := n.engs[def.d.msg.From]
-	if eng.TryAdvance(def.at) {
-		n.rx[def.d.msg.To].chained++
-		def.d.arrive()
-		return
-	}
-	n.ing.Push(int(def.lane),
-		sim.IngressEvent{At: def.at, Src: int32(def.d.msg.From), Seq: def.seq, H: def.d, Arg: hopArrive})
 }
 
 // DeliverMail drains every mailbox into its destination's ingress queue and
@@ -643,46 +505,6 @@ func (n *Network) MessagesOfKind(kind int) uint64 {
 	return total
 }
 
-// FastDeliveries returns how many arrivals took the one-hop fast path.
-func (n *Network) FastDeliveries() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].fast
-	}
-	return total
-}
-
-// FusedHops returns how many broadcast-copy arrivals were chained inline
-// from a fused fan-out instead of dispatching as events.
-func (n *Network) FusedHops() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].fused
-	}
-	return total
-}
-
-// ChainedHops returns how many unicast arrivals were elided at send time
-// (deferred and run at end of dispatch) instead of dispatching as events.
-func (n *Network) ChainedHops() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].chained
-	}
-	return total
-}
-
-// ScheduledArrives returns how many arrivals dispatched as real events. With
-// the counts above, schedArr + fused + chained covers every arrival exactly
-// once — the elision-accounting identity the differential tests pin.
-func (n *Network) ScheduledArrives() uint64 {
-	var total uint64
-	for i := range n.rx {
-		total += n.rx[i].schedArr
-	}
-	return total
-}
-
 // Delivered returns messages handed to destination nodes so far (including
 // drops to unregistered handlers).
 func (n *Network) Delivered() uint64 {
@@ -728,17 +550,7 @@ func (n *Network) Broadcast(msg Message, except int) {
 // of a sharded cluster, where each replica group owns a contiguous block of
 // node IDs. Copies go out in ascending node order, exactly as Broadcast
 // sends them when the range covers the whole fabric.
-//
-// Under sequential wiring with fusion enabled the fan-out is fused: one
-// pooled multicast record carries every copy and arrivals chain through gap
-// proofs instead of each scheduling an event (see fanout.go) — byte-identical
-// outcomes, fewer events. LP wiring and NoFanoutFusion degrade to the plain
-// per-destination send loop.
 func (n *Network) BroadcastRange(msg Message, base, size, except int) {
-	if n.fusing {
-		n.broadcastFused(msg, base, size, except)
-		return
-	}
 	for to := base; to < base+size; to++ {
 		if to == msg.From || to == except {
 			continue

@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -321,89 +319,47 @@ func BenchmarkNetworkBroadcast(b *testing.B) {
 	e.RunAll()
 }
 
-// runFastPathTraffic drives a randomized unicast mix — sparse sends that
-// leave receive queues idle plus bursts that contend them — and records every
-// delivery as (node, from, payload, time). Returned alongside are the engine
-// event count and the number of fast-path deliveries.
-func runFastPathTraffic(t *testing.T, seed uint64, noFast bool) (got []string, events, fast uint64) {
-	t.Helper()
-	e := sim.New()
-	// Fusion off: this identity isolates the rx fast path, so the only
-	// event-count delta between the runs must be the elided deliver hops.
-	// The combined accounting runs in fanout_test.go.
-	cfg := Config{Nodes: 3, OneWayLat: 500, Jitter: 100, Bandwidth: 1_000_000_000,
-		QueuePairs: 4, Seed: seed, NoFastPath: noFast, NoFanoutFusion: true}
-	n := New(e, cfg)
-	for i := 0; i < 3; i++ {
-		i := i
-		n.Register(i, func(m Message) {
-			got = append(got, fmt.Sprintf("n%d<-%d #%v @%d", i, m.From, m.Payload, e.Now()))
-		})
-	}
-	r := sim.NewRNG(seed * 77)
-	at := int64(0)
-	for k := 0; k < 300; k++ {
-		// Mostly sparse (uncontended, fast-path eligible), occasionally a
-		// burst of back-to-back sends that serialize behind each other.
-		if r.Intn(5) == 0 {
-			for b := 0; b < 4; b++ {
-				kk, bb := k, b
+// TestDeliveryCostsTwoEvents pins the network's event budget over a
+// randomized unicast mix — sparse sends that leave receive queues idle plus
+// bursts that contend them: every message costs exactly two engine events,
+// its arrival at the destination NIC and its hand-off to the handler.
+func TestDeliveryCostsTwoEvents(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		e := sim.New()
+		n := New(e, Config{Nodes: 3, OneWayLat: 500, Jitter: 100, Bandwidth: 1_000_000_000,
+			QueuePairs: 4, Seed: seed})
+		for i := 0; i < 3; i++ {
+			n.Register(i, func(Message) {})
+		}
+		r := sim.NewRNG(seed * 77)
+		at, sends := int64(0), uint64(0)
+		for k := 0; k < 300; k++ {
+			burst := 1
+			if r.Intn(5) == 0 {
+				burst = 4
+			}
+			for b := 0; b < burst; b++ {
 				src, dst := r.Intn(3), r.Intn(3)
 				size := 64 + r.Intn(2000)
-				e.At(at, func() {
-					n.Send(Message{From: src, To: dst, Size: size, Payload: kk*10 + bb})
-				})
+				e.At(at, func() { n.Send(Message{From: src, To: dst, Size: size}) })
+				sends++
 			}
-		} else {
-			kk := k
-			src, dst := r.Intn(3), r.Intn(3)
-			size := 64 + r.Intn(2000)
-			e.At(at, func() {
-				n.Send(Message{From: src, To: dst, Size: size, Payload: kk})
-			})
+			at += int64(r.Intn(4000))
 		}
-		at += int64(r.Intn(4000))
-	}
-	e.RunAll()
-	return got, e.Processed(), n.FastDeliveries()
-}
-
-// TestNICFastPathDeliveriesIdentical is the network-layer half of the
-// fast-path proof: over randomized traffic, every delivery lands at the same
-// node, from the same sender, with the same payload, at the same nanosecond,
-// whether or not the fast path is enabled — only the event count may differ,
-// and it must shrink.
-func TestNICFastPathDeliveriesIdentical(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		slow, slowEvents, slowFast := runFastPathTraffic(t, seed, true)
-		fastRun, fastEvents, fastHits := runFastPathTraffic(t, seed, false)
-		if slowFast != 0 {
-			t.Fatalf("seed %d: disabled run counted %d fast deliveries", seed, slowFast)
+		e.RunAll()
+		if got := n.Delivered(); got != sends {
+			t.Fatalf("seed %d: delivered %d of %d messages", seed, got, sends)
 		}
-		if !reflect.DeepEqual(slow, fastRun) {
-			for i := range slow {
-				if i >= len(fastRun) || slow[i] != fastRun[i] {
-					t.Fatalf("seed %d: delivery %d diverged:\n  slow: %s\n  fast: %s",
-						seed, i, slow[i], fastRun[i])
-				}
-			}
-			t.Fatalf("seed %d: delivery streams diverged in length: %d vs %d",
-				seed, len(slow), len(fastRun))
-		}
-		if fastHits == 0 {
-			t.Fatalf("seed %d: fast path never engaged on sparse traffic", seed)
-		}
-		if fastEvents+fastHits != slowEvents {
-			t.Fatalf("seed %d: events %d + fast %d != baseline events %d",
-				seed, fastEvents, fastHits, slowEvents)
+		if want := sends + 2*n.Messages(); e.Processed() != want {
+			t.Fatalf("seed %d: %d events for %d sends, want %d", seed, e.Processed(), sends, want)
 		}
 	}
 }
 
-// TestNICFastPathUncontendedSingleHop pins the mechanism: one message on an
-// idle link is delivered by the arrival dispatch itself — no separate deliver
-// event — at exactly arrival+serialization.
-func TestNICFastPathUncontendedSingleHop(t *testing.T) {
+// TestUncontendedDeliveryTiming pins the two-hop timeline of one message on
+// an idle link: transmit serialization, propagation, then receive
+// serialization, in one send event plus one event per hop.
+func TestUncontendedDeliveryTiming(t *testing.T) {
 	e := sim.New()
 	n := New(e, Config{Nodes: 2, OneWayLat: 500, Bandwidth: 1_000_000_000,
 		QueuePairs: 4})
@@ -415,7 +371,32 @@ func TestNICFastPathUncontendedSingleHop(t *testing.T) {
 	if at != 20500 {
 		t.Fatalf("delivered at %d, want 20500", at)
 	}
-	if n.FastDeliveries() != 1 {
-		t.Fatalf("fast deliveries = %d, want 1", n.FastDeliveries())
+	if e.Processed() != 3 {
+		t.Fatalf("processed %d events, want 3", e.Processed())
 	}
+}
+
+// TestBroadcastRangeAllocs pins that a group-scoped broadcast over a 5-node
+// group with pooled payloads allocates nothing in steady state. "unfused" is
+// the plain per-destination send loop, the only delivery mode there is.
+func TestBroadcastRangeAllocs(t *testing.T) {
+	t.Run("unfused", func(t *testing.T) {
+		e := sim.New()
+		e.Reserve(64)
+		n := New(e, netCfg(5))
+		payload := &struct{ v int }{7}
+		for i := 0; i < 5; i++ {
+			n.Register(i, func(Message) {})
+		}
+		// Warm the delivery pool and the kind table.
+		n.BroadcastRange(Message{From: 1, Size: 192, Kind: 3, Payload: payload}, 0, 5, -1)
+		e.RunAll()
+		allocs := testing.AllocsPerRun(500, func() {
+			n.BroadcastRange(Message{From: 1, Size: 192, Kind: 3, Payload: payload}, 0, 5, -1)
+			e.RunAll()
+		})
+		if allocs > 0 {
+			t.Fatalf("BroadcastRange allocated %.2f per call, want 0", allocs)
+		}
+	})
 }
